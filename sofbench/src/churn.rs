@@ -330,17 +330,24 @@ pub fn run(run: &Run) -> Outcome {
         legs.len()
     ));
 
+    // An untimed round at one thread warms the allocator and caches and is
+    // the reference every timed round must match: results are bit-identical
+    // at any thread count.
+    sof_par::set_threads(1);
+    let first = round(&legs, None, &mut out);
+    sof_par::set_threads(run.threads);
+
     // Measured rounds with tracing off; the traced run spends half its
     // budget here.
     let budget_ms = run.budget.as_secs_f64() * 1e3 / if run.trace { 2.0 } else { 1.0 };
-    let first = round(&legs, None, &mut out);
-    let mut eps = vec![first.events() as f64 / (first.run_ms() / 1e3)];
-    let mut run_ms = first.run_ms();
-    let mut lat: Vec<f64> = first.event_ms().collect();
-    let (mut attempted, mut failed) = (first.events(), first.errors());
+    let mut eps = Vec::new();
+    let mut run_ms = 0.0;
+    let mut lat: Vec<f64> = Vec::new();
+    let (mut attempted, mut failed) = (0, 0);
     while run_ms < budget_ms || eps.len() < 2 {
         let again = round(&legs, None, &mut out);
-        again.compare(&first, &mut out, &format!("round {}", eps.len()));
+        let context = format!("round {} vs the SOF_THREADS=1 round", eps.len() + 1);
+        again.compare(&first, &mut out, &context);
         eps.push(again.events() as f64 / (again.run_ms() / 1e3));
         run_ms += again.run_ms();
         lat.extend(again.event_ms());
@@ -410,9 +417,9 @@ pub fn run(run: &Run) -> Outcome {
             ops_per_s,
         );
     } else {
-        // Bit-identical at any thread count: one more round at one thread.
+        // Bit-identical at any thread count: the reference pass once more
+        // at one thread (the rounds were checked against the first).
         sof_par::set_threads(1);
-        round(&legs, None, &mut out).compare(&first, &mut out, "SOF_THREADS=1 vs pinned");
         pass(&reference, None, &mut Acc::default(), &mut out).compare(
             &reference_pass,
             &mut out,
