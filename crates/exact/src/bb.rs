@@ -5,7 +5,7 @@ use crate::dw::{Arborescence, Restrictions, SteinerRelaxation};
 use crate::layered::LayeredGraph;
 use sof_core::{DestWalk, ServiceForest, SofInstance};
 use sof_graph::{Cost, NodeId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared upper bound on the optimum: the incumbent's cost as `f64` bits
@@ -71,9 +71,10 @@ impl std::fmt::Display for ExactError {
 impl std::error::Error for ExactError {}
 
 /// VMs processing more than one VNF in a relaxed solution, with the layers
-/// they process.
-fn violations(lg: &LayeredGraph, arb: &Arborescence) -> HashMap<usize, Vec<usize>> {
-    let mut used: HashMap<usize, Vec<usize>> = HashMap::new();
+/// they process. Ordered by VM index, so `max_by_key` over it breaks ties
+/// between equally violated VMs towards the highest index on every run.
+fn violations(lg: &LayeredGraph, arb: &Arborescence) -> BTreeMap<usize, Vec<usize>> {
+    let mut used: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &aid in &arb.arcs {
         if let Some((vm, layer)) = lg.arcs[aid].process {
             used.entry(vm.index()).or_default().push(layer);
@@ -455,5 +456,57 @@ mod tests {
         out.forest.validate(&inst).unwrap();
         assert_eq!(out.forest.cost(&inst.network).setup, Cost::ZERO);
         assert!(out.optimal);
+    }
+
+    /// Three clusters joined in a ring, each a hub with one source, two
+    /// destinations and two VMs. With a two-VNF chain every source's
+    /// relaxation stacks both VNFs on one local VM, so several VMs are
+    /// equally violated and the branching VM is a tie.
+    fn clustered_instance(seed: u64) -> SofInstance {
+        let mut rng = Rng64::seed_from(seed);
+        let mut g = Graph::new();
+        let (mut hubs, mut sources, mut dests, mut vms) = (vec![], vec![], vec![], vec![]);
+        for _ in 0..3 {
+            let hub = g.add_node();
+            let s = g.add_node();
+            g.add_edge(s, hub, Cost::new(rng.range_f64(1.0, 3.0)));
+            for _ in 0..2 {
+                let d = g.add_node();
+                g.add_edge(d, hub, Cost::new(rng.range_f64(1.0, 3.0)));
+                dests.push(d);
+            }
+            for _ in 0..2 {
+                let vm = g.add_node();
+                g.add_edge(vm, hub, Cost::ZERO);
+                vms.push((vm, rng.range_f64(0.5, 4.0)));
+            }
+            hubs.push(hub);
+            sources.push(s);
+        }
+        for i in 0..3 {
+            g.add_edge(
+                hubs[i],
+                hubs[(i + 1) % 3],
+                Cost::new(rng.range_f64(2.0, 8.0)),
+            );
+        }
+        let mut net = Network::all_switches(g);
+        for (vm, c) in vms {
+            net.make_vm(vm, Cost::new(c));
+        }
+        SofInstance::new(net, Request::new(sources, dests, ServiceChain::with_len(2))).unwrap()
+    }
+
+    #[test]
+    fn tied_violations_branch_deterministically() {
+        // Ties between equally violated VMs must not follow hash order:
+        // repeated solves in one process explore the same node count.
+        let inst = clustered_instance(69);
+        let first = solve_exact(&inst, 300).unwrap();
+        for _ in 0..20 {
+            let again = solve_exact(&inst, 300).unwrap();
+            assert_eq!(again.nodes_explored, first.nodes_explored);
+            assert_eq!(again.cost, first.cost);
+        }
     }
 }

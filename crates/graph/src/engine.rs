@@ -16,30 +16,10 @@
 //! * hits return a cheap [`Arc`] clone of the cached tree — zero O(n)
 //!   allocation on the warm path.
 //!
-//! # Edge-scoped (dirty-set) invalidation
-//!
-//! An epoch mismatch no longer condemns a cached tree outright. Cost-only
-//! mutations are journaled per edge ([`Graph::cost_changes_since`]), and a
-//! stale entry from the same lineage is **revalidated** — re-offered at the
-//! current epoch without running Dijkstra, counted in
-//! [`PathEngineStats::repairs`] — when every dirtied edge provably cannot
-//! change the tree. The safety rule, per dirtied edge `{u, v}` with new
-//! cost `c`:
-//!
-//! * the edge is not a parent (tree) edge of `u` or `v` in the cached tree,
-//!   and
-//! * it loses every relaxation strictly: `dist(u) + c > dist(v)` **and**
-//!   `dist(v) + c > dist(u)` (or both endpoints are unreachable).
-//!
-//! Under that rule a fresh Dijkstra would relax the same edges in the same
-//! `(cost, node)` heap order and lose on the dirtied edge everywhere it did
-//! before, so the cached tree equals the recomputation **bit for bit** —
-//! distances, parents and Voronoi sites included — at any thread count.
-//! Anything else (a tree edge repriced, a shortcut created, a tie
-//! introduced, a structural mutation, journal overflow) falls back to a
-//! full recompute of that entry; untouched entries are never discarded.
-//! This is the cheap half of a Ramalingam–Reps decremental update: repair
-//! where a no-op is provable, recompute otherwise.
+//! A miss is always a cold Dijkstra, even when an older tree for the same
+//! source set is cached: on the churn workloads one event reprices many
+//! edges, so a stale tree is rarely close enough to the fresh one to be
+//! worth patching, and a cold run in the warm workspace is cheap.
 //!
 //! # Sharing semantics
 //!
@@ -70,30 +50,9 @@
 //! assert_eq!(engine.from_source(&g, NodeId::new(0)).dist(NodeId::new(2)), Cost::new(12.0));
 //! ```
 
-use crate::{CostChange, DijkstraWorkspace, Graph, NodeId, ShortestPaths};
+use crate::{DijkstraWorkspace, Graph, NodeId, ShortestPaths};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Returns `true` when none of the journaled `changes` can affect `paths`:
-/// per dirtied edge, it is not a tree edge of the cached run and its new
-/// cost loses every relaxation strictly (or it joins two unreachable
-/// nodes). Under this rule a fresh Dijkstra reproduces `paths` bit for bit
-/// (see the module docs for the argument).
-fn tree_unaffected(graph: &Graph, paths: &ShortestPaths, changes: &[CostChange]) -> bool {
-    changes.iter().all(|ch| {
-        let edge = graph.edge(ch.edge);
-        let (u, v) = edge.endpoints();
-        let (du, dv) = (paths.dist(u), paths.dist(v));
-        if !du.is_finite() && !dv.is_finite() {
-            return true;
-        }
-        let is_tree_edge = |x: NodeId| paths.parent(x).is_some_and(|(_, e)| e == ch.edge);
-        if is_tree_edge(u) || is_tree_edge(v) {
-            return false;
-        }
-        du + edge.cost > dv && dv + edge.cost > du
-    })
-}
 
 /// Source sets kept before stale/overflowing entries are evicted.
 const MAX_ENTRIES: usize = 4096;
@@ -116,14 +75,12 @@ pub struct PathEngineStats {
     pub stale: u64,
     /// Bulk evictions triggered by the entry cap.
     pub evictions: u64,
-    /// Stale entries revalidated without a Dijkstra: every journaled dirty
-    /// edge was provably unable to change the tree (see the module docs).
+    /// Always 0: the engine no longer revalidates stale trees. Kept so
+    /// the `repairs` keys of reports, window records and `/v1/stats` keep
+    /// their format.
     pub repairs: u64,
-    /// Misses answered by the dynamic-SSSP repair pass instead of a cold
-    /// Dijkstra: only the affected region was re-relaxed (see
-    /// [`DijkstraWorkspace::repair`]). Counted *in addition to* `misses`
-    /// and `stale` — the repaired tree is bit-identical to the cold
-    /// solve it replaced, so downstream counters are unchanged.
+    /// Always 0: the engine no longer repairs stale trees in place. Kept
+    /// so the `partial_repairs` keys of every export keep their format.
     pub partial_repairs: u64,
 }
 
@@ -187,47 +144,7 @@ impl PathEngine {
                 inner.stats.hits += 1;
                 return Arc::clone(paths);
             }
-            // Edge-scoped invalidation: revalidate a same-lineage entry the
-            // dirtied edges provably cannot affect (module docs), newest
-            // first. The repaired tree is *added* at the current epoch —
-            // the old entry survives, so a pre-mutation clone still hits.
-            let repaired = entries.iter().rev().find_map(|(e0, paths)| {
-                graph
-                    .cost_changes_since(*e0)
-                    .filter(|changes| tree_unaffected(graph, paths, changes))
-                    .map(|_| Arc::clone(paths))
-            });
-            if let Some(paths) = repaired {
-                inner.stats.repairs += 1;
-                entries.push((epoch, Arc::clone(&paths)));
-                if entries.len() > EPOCHS_PER_SET {
-                    entries.remove(0);
-                }
-                return paths;
-            }
             inner.stats.stale += 1;
-            // Middle tier: dynamic-SSSP repair. The newest entry whose
-            // lineage is still journaled gets its affected region
-            // re-relaxed in place of a cold Dijkstra — bit-identical
-            // output (docs/DYNSSSP.md), so only `partial_repairs` can
-            // tell the difference.
-            let candidate = entries.iter().rev().find_map(|(e0, paths)| {
-                graph
-                    .cost_changes_since(*e0)
-                    .map(|changes| (Arc::clone(paths), changes))
-            });
-            if let Some((old, changes)) = candidate {
-                if let Some(repaired) = inner.workspace.repair(graph, &old, key, changes) {
-                    inner.stats.misses += 1;
-                    inner.stats.partial_repairs += 1;
-                    let paths = Arc::new(repaired);
-                    entries.push((epoch, Arc::clone(&paths)));
-                    if entries.len() > EPOCHS_PER_SET {
-                        entries.remove(0);
-                    }
-                    return paths;
-                }
-            }
         }
         inner.stats.misses += 1;
         inner.workspace.run(graph, key.iter().copied());
@@ -252,8 +169,7 @@ impl PathEngine {
         paths
     }
 
-    /// Usage counters (hits / misses / stale replacements / evictions /
-    /// repairs).
+    /// Usage counters (hits / misses / stale replacements / evictions).
     pub fn stats(&self) -> PathEngineStats {
         self.inner.lock().expect("path engine lock").stats
     }
@@ -347,94 +263,6 @@ mod tests {
         assert_eq!(stats.hits, 6);
         assert_eq!(first.dist(NodeId::new(1)), Cost::new(1.0));
         assert_eq!(second.dist(NodeId::new(1)), Cost::new(7.0));
-    }
-
-    #[test]
-    fn scoped_invalidation_repairs_unaffected_trees() {
-        // Path 0-1-2-3 (unit costs) with a costly shortcut 0-3, plus a
-        // disconnected pair 4-5. Repricing k edges must evict/repair only
-        // the trees those edges can touch; every other cached tree
-        // survives with its entry intact (same Arc, no Dijkstra).
-        let mut g = Graph::with_nodes(6);
-        g.add_edge(NodeId::new(0), NodeId::new(1), Cost::new(1.0));
-        g.add_edge(NodeId::new(1), NodeId::new(2), Cost::new(1.0));
-        let c = g.add_edge(NodeId::new(2), NodeId::new(3), Cost::new(1.0));
-        let shortcut = g.add_edge(NodeId::new(0), NodeId::new(3), Cost::new(10.0));
-        g.add_edge(NodeId::new(4), NodeId::new(5), Cost::new(1.0));
-        let engine = PathEngine::new();
-        let t0 = engine.from_source(&g, NodeId::new(0));
-        let t4 = engine.from_source(&g, NodeId::new(4));
-        assert_eq!(engine.stats().misses, 2);
-
-        // Reprice the non-tree shortcut so it still strictly loses: both
-        // trees are repaired — same Arcs, zero Dijkstras.
-        g.set_edge_cost(shortcut, Cost::new(12.0));
-        assert!(Arc::ptr_eq(&t0, &engine.from_source(&g, NodeId::new(0))));
-        assert!(Arc::ptr_eq(&t4, &engine.from_source(&g, NodeId::new(4))));
-        let s = engine.stats();
-        assert_eq!((s.misses, s.stale, s.repairs), (2, 0, 2));
-        // Once revalidated, further queries are plain hits.
-        let hits_before = engine.stats().hits;
-        assert!(Arc::ptr_eq(&t0, &engine.from_source(&g, NodeId::new(0))));
-        assert_eq!(engine.stats().hits, hits_before + 1);
-
-        // Reprice a tree edge of the 0-tree: that tree recomputes, but the
-        // disconnected 4-tree (endpoints unreachable) is repaired again.
-        g.set_edge_cost(c, Cost::new(5.0));
-        let t0b = engine.from_source(&g, NodeId::new(0));
-        assert!(
-            !Arc::ptr_eq(&t0, &t0b),
-            "a dirtied tree edge forces recompute"
-        );
-        assert_eq!(t0b.dist(NodeId::new(3)), Cost::new(7.0));
-        assert!(Arc::ptr_eq(&t4, &engine.from_source(&g, NodeId::new(4))));
-        let s = engine.stats();
-        assert_eq!((s.misses, s.stale, s.repairs), (3, 1, 3));
-
-        // A repricing that *creates* a shortcut may not be absorbed either.
-        g.set_edge_cost(shortcut, Cost::new(2.0));
-        let t0c = engine.from_source(&g, NodeId::new(0));
-        assert!(
-            !Arc::ptr_eq(&t0b, &t0c),
-            "an improving edge forces recompute"
-        );
-        assert_eq!(t0c.dist(NodeId::new(3)), Cost::new(2.0));
-    }
-
-    #[test]
-    fn affected_trees_are_partially_repaired() {
-        // Repricing one edge of a 12-node line dirties a small region:
-        // the stale miss must be answered by the repair pass, not a cold
-        // Dijkstra, and the tree must still be exactly the fresh one.
-        let mut g = line(12);
-        let engine = PathEngine::new();
-        let s = NodeId::new(0);
-        let before = engine.from_source(&g, s);
-        let e = g.edge_between(NodeId::new(9), NodeId::new(10)).unwrap();
-        g.set_edge_cost(e, Cost::new(4.0));
-        let after = engine.from_source(&g, s);
-        assert!(!Arc::ptr_eq(&before, &after));
-        let stats = engine.stats();
-        assert_eq!(
-            (stats.misses, stats.stale, stats.partial_repairs),
-            (2, 1, 1),
-            "the stale miss must go through the repair pass: {stats:?}"
-        );
-        let fresh = ShortestPaths::from_source(&g, s);
-        for v in g.nodes() {
-            assert_eq!(after.dist(v), fresh.dist(v));
-            assert_eq!(after.parent(v), fresh.parent(v));
-            assert_eq!(after.site(v), fresh.site(v));
-        }
-        // The repaired entry is a first-class cache citizen: same epoch
-        // queries hit it.
-        assert!(Arc::ptr_eq(&after, &engine.from_source(&g, s)));
-        // Structural mutations sever the journal, so the next stale miss
-        // falls back to a cold solve (partial_repairs unchanged).
-        g.add_edge(NodeId::new(0), NodeId::new(11), Cost::new(0.5));
-        let rerouted = engine.from_source(&g, s);
-        assert_eq!(rerouted.dist(NodeId::new(11)), Cost::new(0.5));
-        assert_eq!(engine.stats().partial_repairs, 1);
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!   O(1) reset between runs, zero O(n) allocation once warm,
 //! * [`PathEngine`] — a memoizing shortest-path service keyed by
 //!   `(source set, cost epoch)`; hands out shared `Arc<ShortestPaths>`
-//!   trees with *edge-scoped* invalidation: a cost change dirties only the
-//!   mutated edges ([`Graph::cost_changes_since`]), and cached trees those
-//!   edges cannot affect are revalidated instead of recomputed (see the
-//!   module docs for the exact safety rule),
+//!   trees, and a miss (new source set or renewed epoch) runs one cold
+//!   Dijkstra through its long-lived [`DijkstraWorkspace`],
 //! * [`MetricClosure`] — pairwise terminal distances with realizing paths,
 //!   optionally engine-backed ([`MetricClosure::with_engine`]),
 //! * [`minimum_spanning_forest`] — Kruskal MST over a [`UnionFind`],
@@ -58,7 +56,7 @@ pub use cost::Cost;
 pub use dijkstra::{DijkstraWorkspace, ShortestPaths};
 pub use engine::{PathEngine, PathEngineStats};
 pub use generators::CostRange;
-pub use graph::{CostChange, Edge, Graph};
+pub use graph::{Edge, Graph};
 pub use ids::{EdgeId, NodeId};
 pub use metric::MetricClosure;
 pub use mst::{edge_set_cost, minimum_spanning_forest};

@@ -28,7 +28,9 @@ pub struct EngineTotals {
     pub misses: u64,
     /// Misses whose source set was cached under older epochs.
     pub stale: u64,
-    /// Stale entries revalidated in place without a Dijkstra.
+    /// Retired counter: always 0, since the engine answers every miss with
+    /// a cold Dijkstra. Kept so window records keep their
+    /// `engine_repairs` key and the golden files do not change.
     pub repairs: u64,
 }
 

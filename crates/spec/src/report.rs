@@ -138,11 +138,13 @@ pub struct OnlineSolverStats {
     /// `PathEngine` counter: misses whose source was cached under an older
     /// cost epoch.
     pub engine_stale: u64,
-    /// `PathEngine` counter: stale trees revalidated in place without a
-    /// Dijkstra (edge-scoped invalidation).
+    /// Retired `PathEngine` counter: always 0, since the engine answers
+    /// every miss with a cold Dijkstra. Kept so the report format and the
+    /// golden files do not change.
     pub engine_repairs: u64,
-    /// `PathEngine` counter: stale misses answered by the dynamic-SSSP
-    /// repair pass (affected region only) instead of a cold Dijkstra.
+    /// Retired `PathEngine` counter: always 0, since the engine no longer
+    /// repairs stale trees in place. Kept so the report format does not
+    /// change.
     pub engine_partial_repairs: u64,
 }
 

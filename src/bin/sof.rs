@@ -245,7 +245,8 @@ const BENCH_PRESETS: &[(&str, &str, &str)] = &[
 ];
 
 /// Sums the `PathEngine` counters over every online session in the
-/// report: (hits, misses, stale, repairs, partial_repairs). `None` when
+/// report: (hits, misses, stale, repairs, partial_repairs), the last two
+/// always 0 (retired counters kept for the output format). `None` when
 /// the report has no online sections (sweeps don't surface per-session
 /// engine stats).
 fn engine_counters(report: &RunReport) -> Option<(u64, u64, u64, u64, u64)> {

@@ -12,7 +12,7 @@ use sof::core::{
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, ShortestPaths};
 use sof::spec::shim::{apply_overrides, Overrides};
-use sof::spec::{presets, run_spec, write_jsonl, Detail, RunOptions};
+use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
 
 fn golden(name: &str) -> String {
     std::fs::read_to_string(format!("crates/spec/specs/golden/{name}.jsonl"))
@@ -97,56 +97,6 @@ fn table2_exact_matches_pre_engine_golden_across_thread_counts() {
     }
 }
 
-/// The dynamic-SSSP middle tier actually fires on a miniature fig12 —
-/// requests 6 is the smallest scale at which a congestion batch leaves an
-/// affected region under the repair cap — and stays invisible in results:
-/// serial and pooled runs emit byte-identical reports (partial repairs are
-/// timing-gated, so the bytes match the no-repair world) with a nonzero
-/// partial-repair count at both thread counts.
-#[test]
-fn fig12_partial_repairs_fire_and_stay_invisible() {
-    let overrides = Overrides {
-        requests: Some(6),
-        ..Overrides::default()
-    };
-    let mut reports = Vec::new();
-    for threads in [1usize, 4] {
-        let mut spec = presets::preset("fig12").expect("bundled preset").unwrap();
-        apply_overrides(&mut spec, &overrides);
-        spec.validate().unwrap();
-        let report = run_spec(
-            &spec,
-            &RunOptions {
-                threads,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        let partials: u64 = report
-            .sections
-            .iter()
-            .filter_map(|s| match &s.detail {
-                Detail::Online(d) => Some(
-                    d.sessions
-                        .iter()
-                        .map(|st| st.engine_partial_repairs)
-                        .sum::<u64>(),
-                ),
-                _ => None,
-            })
-            .sum();
-        assert!(
-            partials > 0,
-            "threads={threads}: expected the dynamic-SSSP repair tier to fire"
-        );
-        reports.push(write_jsonl(&report, false));
-    }
-    assert_eq!(
-        reports[0], reports[1],
-        "thread count leaked into the report"
-    );
-}
-
 fn random_instance(seed: u64) -> SofInstance {
     let mut rng = Rng64::seed_from(seed);
     let g = generators::gnp_connected(28, 0.16, CostRange::new(1.0, 7.0), &mut rng);
@@ -226,9 +176,7 @@ fn online_session_warm_engine_is_invisible_in_results() {
 }
 
 /// Invalidation end to end: reprice an edge **on** a cached tree through
-/// the network and the engine must refuse the stale tree. (Repricing an
-/// edge the tree does not traverse is instead repaired in place — covered
-/// by the scoped-invalidation tests in `sof_graph`.)
+/// the network and the engine must refuse the stale tree.
 #[test]
 fn cost_mutation_invalidates_network_cache() {
     let inst = random_instance(7);
