@@ -18,7 +18,7 @@ use std::fmt;
 /// assert_eq!(config.seed, 7);
 /// assert_eq!(config.steiner, SteinerSolver::Mehlhorn);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SofdaConfig {
     /// Steiner solver used for the distribution trees / auxiliary graph
     /// (`ρST = 2` for the approximations).

@@ -1,6 +1,6 @@
 //! The spec-to-engine compiler: [`run_spec`] turns a validated
 //! [`ScenarioSpec`] into a [`RunReport`] by driving the existing
-//! machinery — [`sof_bench::sweep_tables`] / [`sof_bench::average_with`]
+//! machinery — [`crate::sweep::sweep_tables`] / [`crate::sweep::average_with`]
 //! for one-shot workloads, [`sof_core::OnlineSession`] /
 //! [`sof_core::SessionPool`] for online ones, and the flow-level QoE
 //! simulator for the testbed table.
@@ -15,7 +15,7 @@ use crate::report::{
 use crate::spec::{
     ChurnSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
 };
-use sof_bench::{ParamField, SweepAxis};
+use crate::sweep::{self, ParamField, SweepAxis};
 use sof_core::{
     fortz_thorup, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool, SofInstance, Solver,
 };
@@ -33,9 +33,8 @@ pub struct RunOptions {
     pub threads: usize,
     /// Include wall-clock measurements in the JSONL output.
     pub timings: bool,
-    /// Phrase skip-notes in terms of the legacy binaries' flags (the
-    /// shims set this to stay byte-identical to the historical output);
-    /// off, notes reference the spec keys instead.
+    /// Ignored. Kept only so existing struct literals still compile;
+    /// the field is due for removal.
     pub legacy_notes: bool,
 }
 
@@ -55,7 +54,7 @@ fn resolve_solvers(names: &[String]) -> Result<Vec<Box<dyn Solver>>, SpecError> 
 /// [`SpecError`] when the spec references something the engine cannot
 /// resolve (a solver dropped from the registry, an unbuildable topology).
 /// Per-point solver failures are **not** errors: they surface as missing
-/// cells and warnings, exactly as the legacy binaries handled them.
+/// cells and warnings.
 pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunReport, SpecError> {
     spec.validate()?;
     match &spec.workload {
@@ -505,7 +504,7 @@ fn run_sweep(
     let topo = build_named(&spec.topology, seed).map_err(SpecError)?;
     let algos = resolve_solvers(solver_names)?;
     let topo_label = display_label(&spec.topology.name).to_string();
-    let tables = sof_bench::sweep_tables(
+    let tables = sweep::sweep_tables(
         &topo,
         &spec.params,
         &spec.sofda,
@@ -614,7 +613,7 @@ fn run_grid(
                 cols.field.apply(&mut p, cv);
                 build_instance(&topo, &p)
             };
-            row.push(sof_bench::average_with(
+            row.push(sweep::average_with(
                 solver.as_ref(),
                 seeds,
                 seed,
@@ -696,7 +695,7 @@ fn run_runtime(
             let mut p = spec.params.with_seed(seed + s as u64);
             p.sources = s;
             let inst = build_instance(&topo, &p);
-            match sof_bench::run(solver.as_ref(), &inst, &spec.sofda) {
+            match sweep::run(solver.as_ref(), &inst, &spec.sofda) {
                 Some(r) => {
                     cells.push(Cell::timing(r.millis / 1e3, 2));
                     extra_rows.push(ExtraRow {
@@ -776,7 +775,7 @@ fn run_qoe(
                 ),
             )
             .expect("valid instance");
-            let Some(r) = sof_bench::run(algo.as_ref(), &inst, &spec.sofda.with_seed(seed)) else {
+            let Some(r) = sweep::run(algo.as_ref(), &inst, &spec.sofda.with_seed(seed)) else {
                 continue;
             };
             let forest = r.outcome.expect("present").forest;
@@ -959,7 +958,7 @@ fn run_online(
                 opts,
             )?
         } else {
-            run_single_group(spec, gi, group, seed, solver_names, failures, opts)?
+            run_single_group(spec, gi, group, seed, solver_names, failures)?
         };
         sections.push(section);
     }
@@ -973,7 +972,6 @@ fn section_id(gi: usize, topo_name: &str) -> String {
     format!("group{gi}:{topo_name}")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_single_group(
     spec: &ScenarioSpec,
     gi: usize,
@@ -981,7 +979,6 @@ fn run_single_group(
     seed: u64,
     solver_names: &[String],
     failures: Option<&FailureSpec>,
-    opts: &RunOptions,
 ) -> Result<Section, SpecError> {
     let topo = group_topology(spec, group, seed)?;
     if group.requests == 0 {
@@ -1094,9 +1091,6 @@ fn run_single_group(
     }
     let suffix = if group.scratch {
         ""
-    } else if opts.legacy_notes {
-        // The historical fig12 wording, kept verbatim for shim parity.
-        "; from-scratch baseline skipped, pass --scratch 2 to run it"
     } else {
         "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
     };

@@ -3,9 +3,9 @@
 //! Experiments are **data** here, not binaries: a [`ScenarioSpec`]
 //! (TOML or JSON) names a topology, scenario parameters, a cost/solver
 //! configuration and a workload; [`run_spec`] compiles it onto the
-//! existing `Solver` / `OnlineSession` / `SessionPool` / `sof_bench`
-//! machinery and returns a structured [`RunReport`], which serializes as
-//! deterministic JSON lines ([`write_jsonl`]) or as the legacy markdown
+//! existing `Solver` / `OnlineSession` / `SessionPool` machinery and the
+//! [`sweep`] engine, and returns a structured [`RunReport`], which
+//! serializes as deterministic JSON lines ([`write_jsonl`]) or as markdown
 //! tables ([`render_markdown`]).
 //!
 //! The paper's eight figures/tables ship as bundled presets
@@ -59,10 +59,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod overrides;
 pub mod presets;
 pub mod report;
-pub mod shim;
 mod spec;
+pub mod sweep;
 pub mod value;
 
 pub use engine::{run_churn_stream, run_spec, runner_config, RunOptions};

@@ -1,7 +1,7 @@
 //! The structured result of running a [`crate::ScenarioSpec`]: a
 //! [`RunReport`] of per-point rows plus solver metadata, emitted either as
-//! deterministic JSON lines ([`write_jsonl`]) or as the legacy markdown
-//! the original fig/table binaries printed ([`render_markdown`]).
+//! deterministic JSON lines ([`write_jsonl`]) or as markdown tables
+//! ([`render_markdown`]).
 //!
 //! Determinism contract: with `timings = false` (the default), the JSON
 //! lines are identical for a fixed spec + seed across runs, machines and
@@ -227,8 +227,8 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// All failure warnings collected across sections (print these to
-    /// stderr — the legacy binaries did).
+    /// All failure warnings collected across sections (`sof run` prints
+    /// these to stderr).
     pub fn warnings(&self) -> Vec<&str> {
         self.sections
             .iter()
@@ -241,9 +241,9 @@ impl RunReport {
     }
 }
 
-/// Renders the report exactly as the legacy fig/table binaries printed it
-/// (markdown headings + tables + the online epilogues), so the preset
-/// shims preserve their historical output byte for byte.
+/// Renders the report as markdown: headings, tables and the online
+/// epilogues, in the layout of the paper's figures and tables
+/// (`sof run --format markdown`).
 pub fn render_markdown(report: &RunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("# {}\n", report.meta.heading));

@@ -4,8 +4,8 @@
 //! validation with actionable messages, and lossless serialization back to
 //! TOML or JSON.
 
+use crate::sweep::{standard_axes, ParamField, SweepAxis};
 use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, Value};
-use sof_bench::{ParamField, SweepAxis};
 use sof_core::{DriftPolicy, JoinStrategy, OnlineConfig, SofdaConfig};
 use sof_graph::Cost;
 use sof_kstroll::StrollSolver;
@@ -1375,7 +1375,7 @@ fn read_workload(v: &Value) -> Result<Workload, SpecError> {
             let seeds = r.opt_u64("seeds")?.unwrap_or(1);
             let seed = r.opt_u64("seed")?.unwrap_or(1000);
             let axes = match r.take_raw("axes") {
-                None => sof_bench::standard_axes(0),
+                None => standard_axes(0),
                 Some(Value::Array(items)) => {
                     let mut axes = Vec::with_capacity(items.len());
                     for (i, item) in items.iter().enumerate() {

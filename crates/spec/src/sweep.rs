@@ -1,28 +1,14 @@
-//! # sof-bench — low-level experiment engine under the scenario layer
-//!
-//! The building blocks every harness shares: single solver runs with
-//! validation ([`run`]), seed-averaged measurements ([`average`]),
+//! The sweep engine under the scenario layer: single solver runs with
+//! validation ([`run`]), seed-averaged measurements ([`average_with`]) and
 //! declarative parameter sweeps ([`sweep_tables`] over [`SweepAxis`] /
-//! [`ParamField`]) and the strict [`Args`] flag parser the legacy shim
-//! binaries use.
-//!
-//! The paper's figures and tables themselves are **scenario specs** now:
-//! the `sof_spec` crate compiles `ScenarioSpec` files onto this engine and
-//! the `sof` CLI (`sof run fig8`, `sof list`, `sof validate`) replaces the
-//! former one-binary-per-figure harness; `fig7`…`table2` remain as thin
-//! shims over the bundled preset specs.
+//! [`ParamField`]).
 //!
 //! Algorithms come from the [`sof_solvers`] registry (the [`Solver`]
-//! trait), so adding a solver to the registry adds it to every harness.
+//! trait), so adding a solver to the registry adds it to every workload.
 //!
-//! Per-seed averaging fans out over `sof_par` workers; `--threads N`
-//! (`0` = all cores) and the `SOF_THREADS` environment variable pick the
-//! worker count. Results are deterministic and **identical for every
-//! thread count**: each seed's run lands in a fixed slot and means are
-//! folded in seed order.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Per-seed runs fan out over `sof_par` workers. Results are deterministic
+//! and **identical for every thread count**: each seed's run lands in a
+//! fixed slot and means are folded in seed order.
 
 use sof_core::{SofInstance, SofdaConfig, Solver};
 use std::time::Instant;
@@ -30,7 +16,7 @@ use std::time::Instant;
 /// A sweepable field of [`sof_topo::ScenarioParams`] — the data form of
 /// what used to be per-binary setter closures, so declarative scenario
 /// specs can name axes in files.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParamField {
     /// `sources` (candidate source count).
     Sources,
@@ -102,7 +88,7 @@ impl ParamField {
 
 /// One declarative sweep axis: which parameter varies, over which values,
 /// under which display label.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepAxis {
     /// Display label (figure column header; defaults per field).
     pub label: String,
@@ -236,29 +222,6 @@ pub fn sweep_tables(
         .collect()
 }
 
-/// The standard comparison sweeps of Figs. 8–10 ([`standard_axes`] around
-/// the paper-default scenario), truncated to `limit` values per axis
-/// (`0` = all). See [`sweep_tables`] for the contract.
-pub fn comparison_sweep_tables(
-    topo: &sof_topo::Topology,
-    algos: &[Box<dyn Solver>],
-    seeds: u64,
-    base: u64,
-    limit: usize,
-    threads: usize,
-) -> Vec<SweepTable> {
-    sweep_tables(
-        topo,
-        &sof_topo::ScenarioParams::paper_defaults(),
-        &SofdaConfig::default(),
-        algos,
-        &standard_axes(limit),
-        seeds,
-        base,
-        threads,
-    )
-}
-
 /// One algorithm run's outcome.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -294,28 +257,13 @@ pub fn run(solver: &dyn Solver, instance: &SofInstance, config: &SofdaConfig) ->
 }
 
 /// Averages a solver over `seeds` instance draws produced by `make`,
-/// fanning the independent per-seed runs out over
-/// [`sof_par::current_threads`] workers.
+/// fanning the independent per-seed runs out over `threads` workers
+/// (`0` = the configured default, [`sof_par::current_threads`]).
 ///
 /// Returns `(mean cost, mean used VMs, mean milliseconds)`. Costs and VM
 /// counts are bit-identical for every thread count (runs land in per-seed
 /// slots and the means fold in seed order); only the measured wall-clock
 /// means vary.
-pub fn average<F>(
-    solver: &dyn Solver,
-    seeds: u64,
-    base_seed: u64,
-    config: &SofdaConfig,
-    make: F,
-) -> Option<(f64, f64, f64)>
-where
-    F: Fn(u64) -> SofInstance + Sync,
-{
-    average_with(solver, seeds, base_seed, config, make, 0)
-}
-
-/// [`average`] with an explicit worker count (`0` = the configured
-/// default, [`sof_par::current_threads`]).
 pub fn average_with<F>(
     solver: &dyn Solver,
     seeds: u64,
@@ -344,152 +292,6 @@ where
         n += 1.0;
     }
     (n > 0.0).then(|| (cost / n, vms / n, ms / n))
-}
-
-/// Strict `--flag value` parser for the experiment binaries: every flag
-/// must be declared up front, unknown or value-less flags are errors, and
-/// `--help` prints a per-binary usage text. `--threads` is built in —
-/// every binary accepts it and [`Args::parse`] installs it as the
-/// process-wide [`sof_par`] worker count.
-#[derive(Debug)]
-pub struct Args {
-    values: std::collections::HashMap<String, String>,
-}
-
-/// What [`Args::try_parse`] decided.
-#[derive(Debug)]
-pub enum Parsed {
-    /// Arguments parsed; run the binary.
-    Run(Args),
-    /// `--help` was requested; print the usage text and exit 0.
-    Help(String),
-}
-
-impl Args {
-    /// Parses the process arguments against the declared `flags`
-    /// (`(name, help)` pairs; every flag takes one value). Prints usage and
-    /// exits 0 on `--help`; prints the error and exits 2 on unknown flags,
-    /// missing values, or stray positional arguments.
-    pub fn parse(about: &str, flags: &[(&str, &str)]) -> Args {
-        let raw: Vec<String> = std::env::args().skip(1).collect();
-        match Args::try_parse(&raw, about, flags) {
-            Ok(Parsed::Run(args)) => {
-                match args.threads() {
-                    Ok(Some(threads)) => sof_par::set_threads(threads),
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        eprintln!("{}", Args::usage(about, flags));
-                        std::process::exit(2);
-                    }
-                }
-                args
-            }
-            Ok(Parsed::Help(usage)) => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{}", Args::usage(about, flags));
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The exit-free core of [`Args::parse`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown flags, flags missing their value, and
-    /// positional arguments.
-    pub fn try_parse(
-        raw: &[String],
-        about: &str,
-        flags: &[(&str, &str)],
-    ) -> Result<Parsed, String> {
-        let mut values = std::collections::HashMap::new();
-        let mut it = raw.iter();
-        while let Some(arg) = it.next() {
-            if arg == "--help" || arg == "-h" {
-                return Ok(Parsed::Help(Args::usage(about, flags)));
-            }
-            let name = arg
-                .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected positional argument '{arg}'"))?;
-            if name != "threads" && !flags.iter().any(|(f, _)| *f == name) {
-                return Err(format!("unknown flag '--{name}'"));
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag '--{name}' is missing its value"))?;
-            values.insert(name.to_string(), value.clone());
-        }
-        Ok(Parsed::Run(Args { values }))
-    }
-
-    /// The `--help` text for a binary (declared flags plus the built-in
-    /// `--threads` and `--help`).
-    pub fn usage(about: &str, flags: &[(&str, &str)]) -> String {
-        let mut s = format!("{about}\n\nOptions:\n");
-        let width = flags
-            .iter()
-            .map(|(f, _)| f.len())
-            .chain(["threads".len()])
-            .max()
-            .unwrap_or(0);
-        for (flag, help) in flags {
-            s.push_str(&format!("  --{flag:<width$} <value>  {help}\n"));
-        }
-        s.push_str(&format!(
-            "  --{:<width$} <value>  worker threads for parallel sweeps (0 = all cores; \
-             overrides SOF_THREADS)\n",
-            "threads"
-        ));
-        s.push_str(&format!("  --{:<width$}          print this help", "help"));
-        s
-    }
-
-    /// Reads the built-in `--threads` flag: `Ok(None)` when absent,
-    /// `Ok(Some(n))` when it parses (`0` = auto-detect all cores).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the non-numeric value.
-    pub fn threads(&self) -> Result<Option<usize>, String> {
-        match self.values.get("threads") {
-            None => Ok(None),
-            Some(v) => v.parse::<usize>().map(Some).map_err(|_| {
-                format!(
-                    "invalid value '{v}' for flag '--threads': expected a thread count \
-                     (0 = all cores)"
-                )
-            }),
-        }
-    }
-
-    /// Reads `--seeds` (averaging width), clamped to at least 1 because
-    /// averaging over zero seeds is a `None` from [`average`].
-    pub fn seeds(&self, default: u64) -> u64 {
-        self.get("seeds", default).max(1)
-    }
-
-    /// Reads `--name <value>` with a default. Exits 2 when the supplied
-    /// value does not parse as `T`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.opt(name).unwrap_or(default)
-    }
-
-    /// Reads `--name <value>`: `None` when the flag is absent. Exits 2
-    /// when the supplied value does not parse as `T`.
-    pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.values.get(name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value '{v}' for flag '--{name}'");
-                std::process::exit(2);
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -532,86 +334,8 @@ mod tests {
             build_instance(&topo, &p)
         };
         let sofda = sof_core::Sofda;
-        let a = average(&sofda, 3, 100, &SofdaConfig::default(), make).unwrap();
-        let b = average(&sofda, 3, 100, &SofdaConfig::default(), make).unwrap();
+        let a = average_with(&sofda, 3, 100, &SofdaConfig::default(), make, 0).unwrap();
+        let b = average_with(&sofda, 3, 100, &SofdaConfig::default(), make, 0).unwrap();
         assert_eq!(a.0, b.0);
-    }
-
-    fn strings(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn args_reject_unknown_flags_and_positionals() {
-        let flags = [("seed", "base seed"), ("seeds", "averaging width")];
-        let err = Args::try_parse(&strings(&["--sede", "7"]), "t", &flags).unwrap_err();
-        assert!(err.contains("unknown flag '--sede'"), "{err}");
-        let err = Args::try_parse(&strings(&["7"]), "t", &flags).unwrap_err();
-        assert!(err.contains("positional"), "{err}");
-        let err = Args::try_parse(&strings(&["--seed"]), "t", &flags).unwrap_err();
-        assert!(err.contains("missing its value"), "{err}");
-    }
-
-    #[test]
-    fn threads_flag_is_builtin_and_validated() {
-        let flags = [("seed", "base seed")];
-        // Accepted without being declared, parsed as a count.
-        let Parsed::Run(args) =
-            Args::try_parse(&strings(&["--threads", "4"]), "t", &flags).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.threads(), Ok(Some(4)));
-        // Absent → None (leave SOF_THREADS / auto-detect in charge).
-        let Parsed::Run(args) = Args::try_parse(&strings(&[]), "t", &flags).unwrap() else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.threads(), Ok(None));
-        // 0 is valid and means auto-detect (all cores).
-        let Parsed::Run(args) =
-            Args::try_parse(&strings(&["--threads", "0"]), "t", &flags).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.threads(), Ok(Some(0)));
-        assert!(sof_par::resolve_threads(0) >= 1, "0 resolves to all cores");
-        // Non-numeric values are rejected with a pointed message.
-        let Parsed::Run(args) =
-            Args::try_parse(&strings(&["--threads", "many"]), "t", &flags).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        let err = args.threads().unwrap_err();
-        assert!(err.contains("invalid value 'many'"), "{err}");
-        // A value-less --threads is still a parse error.
-        let err = Args::try_parse(&strings(&["--threads"]), "t", &flags).unwrap_err();
-        assert!(err.contains("missing its value"), "{err}");
-        // And the built-in shows up in every usage text.
-        assert!(Args::usage("t", &flags).contains("--threads"));
-    }
-
-    #[test]
-    fn args_parse_declared_flags_and_help() {
-        let flags = [("seed", "base seed"), ("seeds", "averaging width")];
-        let Parsed::Run(args) =
-            Args::try_parse(&strings(&["--seed", "9", "--seeds", "3"]), "t", &flags).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.get("seed", 0u64), 9);
-        assert_eq!(args.seeds(5), 3);
-        // Defaults apply when a flag is absent; zero seeds clamp to 1.
-        let Parsed::Run(args) = Args::try_parse(&strings(&["--seeds", "0"]), "t", &flags).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.get("seed", 1000u64), 1000);
-        assert_eq!(args.seeds(5), 1);
-        let Parsed::Help(usage) =
-            Args::try_parse(&strings(&["--help"]), "fig0 — x", &flags).unwrap()
-        else {
-            panic!("expected Help");
-        };
-        assert!(usage.contains("fig0 — x") && usage.contains("--seeds"));
     }
 }

@@ -1,11 +1,11 @@
 //! A small self-contained document model with TOML and JSON front ends.
 //!
-//! The build environment vendors a no-op `serde` stand-in (see
-//! `vendor/serde`), so the spec layer carries its own parsing and
-//! serialization: a [`Value`] tree (insertion-ordered tables, so
-//! serialization is deterministic), a TOML-subset reader/writer covering
-//! everything scenario specs use, and a JSON reader/writer for `.json`
-//! specs and `RunReport` JSON-lines output.
+//! The workspace has no serialization dependency, so the spec layer
+//! carries its own parsing and serialization: a [`Value`] tree
+//! (insertion-ordered tables, so serialization is deterministic), a
+//! TOML-subset reader/writer covering everything scenario specs use, and
+//! a JSON reader/writer for `.json` specs and `RunReport` JSON-lines
+//! output.
 //!
 //! The TOML subset: `[table]` / `[[array-of-tables]]` headers with dotted
 //! paths, `key = value` pairs (bare or quoted keys, dotted keys), basic

@@ -3,13 +3,11 @@
 //! 1. **PathEngine**: cold (first-sight) vs warm (cache-hit) shortest-path
 //!    query latency, plus the cost of an epoch-bump invalidation.
 //! 2. **sof_par pool**: per-call overhead of `par_map_indexed` on tiny
-//!    tasks through the persistent pool. Run once normally and once with
-//!    `SOF_PAR_POOL=0` to compare against the legacy spawn-per-call path
-//!    (the flag is latched at first use, so it cannot toggle in-process).
+//!    tasks through the persistent pool (`SOF_THREADS=N` picks the worker
+//!    count).
 //!
 //! ```sh
 //! cargo run --release --example path_engine
-//! SOF_PAR_POOL=0 cargo run --release --example path_engine
 //! ```
 
 use sof::graph::{generators, Cost, CostRange, NodeId, PathEngine, Rng64, ShortestPaths};
@@ -89,13 +87,8 @@ fn main() {
 
     // par_map overhead on tiny tasks: the exact solver's usage profile is
     // thousands of ~ms-scale batches of 4-5 items.
-    let pool_mode = if std::env::var("SOF_PAR_POOL").map_or(true, |v| v.trim() != "0") {
-        "persistent pool"
-    } else {
-        "legacy spawn-per-call"
-    };
     println!(
-        "\n# sof_par tiny-batch overhead ({pool_mode}, {} threads)",
+        "\n# sof_par tiny-batch overhead (persistent pool, {} threads)",
         sof::par::current_threads()
     );
     let items: Vec<u64> = (0..5).collect();
@@ -122,5 +115,5 @@ fn main() {
         batched,
         batched / BATCHES
     );
-    println!("(run with SOF_PAR_POOL=0 / SOF_THREADS=N to compare modes)");
+    println!("(run with SOF_THREADS=N to compare thread counts)");
 }

@@ -8,9 +8,9 @@
 //!
 //! `sof run` emits the structured `RunReport` as JSON lines by default
 //! (deterministic for a fixed seed and any `--threads`); pass
-//! `--format markdown` for the legacy figure tables.
+//! `--format markdown` for the figure tables.
 
-use sof_spec::shim::{apply_overrides, Overrides};
+use sof_spec::overrides::{apply_overrides, Overrides};
 use sof_spec::{
     render_markdown, run_churn_stream, run_spec, write_jsonl, Detail, RunOptions, RunReport,
     ScenarioSpec, Workload,
@@ -164,9 +164,8 @@ fn cmd_run(args: Vec<String>) {
         fatal(e);
     }
     let opts = RunOptions {
-        threads: 0,
         timings,
-        legacy_notes: false,
+        ..RunOptions::default()
     };
     match format.as_str() {
         "jsonl" | "json" => {
@@ -309,9 +308,8 @@ fn cmd_bench_snapshot(args: Vec<String>) {
         sof_par::set_threads(t);
     }
     let opts = RunOptions {
-        threads: 0,
         timings: true,
-        legacy_notes: false,
+        ..RunOptions::default()
     };
     let mut entries: Vec<String> = Vec::new();
     for &(name, preset, flags) in BENCH_PRESETS {

@@ -11,7 +11,7 @@
 //! * [`kstroll`] — k-stroll solvers (exact, color coding, greedy),
 //! * [`core`] — the SOF problem model, SOFDA / SOFDA-SS approximation
 //!   algorithms, VNF conflict resolution, cost model, dynamic operations,
-//! * [`par`] — deterministic scoped worker pool (`par_map_indexed`,
+//! * [`par`] — deterministic persistent worker pool (`par_map_indexed`,
 //!   `SOF_THREADS`) behind the parallel sweeps, `core::SessionPool`, and
 //!   the exact solver's branch forking,
 //! * [`baselines`] — the paper's comparison algorithms (ST, eST, eNEMP),

@@ -11,7 +11,7 @@ use sof::core::{
     SofdaConfig,
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, ShortestPaths};
-use sof::spec::shim::{apply_overrides, Overrides};
+use sof::spec::overrides::{apply_overrides, Overrides};
 use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
 
 fn golden(name: &str) -> String {
@@ -207,10 +207,8 @@ fn cost_mutation_invalidates_network_cache() {
     drop(before);
 }
 
-/// The pooled and the legacy scoped `par_map` paths cannot be toggled in
-/// one process (the pool flag is latched at first use), but the pooled
-/// path must match the serial path — which is the legacy path's own
-/// invariant — on real solver workloads.
+/// The pooled `par_map` path must match the serial path on real solver
+/// workloads.
 #[test]
 fn pooled_solves_match_serial_solves() {
     let inst = random_instance(3);

@@ -154,8 +154,7 @@ churn = { sources = [1, 2], destinations = [2, 4], leaves = [0, 1], joins = [0, 
             &spec,
             &RunOptions {
                 threads,
-                timings: false,
-                legacy_notes: false,
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -176,6 +175,42 @@ churn = { sources = [1, 2], destinations = [2, 4], leaves = [0, 1], joins = [0, 
         a.contains("concurrent") || a.contains("group0:testbed"),
         "{a}"
     );
+}
+
+/// The bundled fig12 preset in session-pool mode: three concurrent
+/// sessions per topology, stepped through the pool, give a byte-identical
+/// report at 1 and 4 threads.
+#[test]
+fn fig12_session_pool_is_thread_count_independent() {
+    let mut spec = presets::preset("fig12").unwrap().unwrap();
+    let Workload::Online {
+        sessions, groups, ..
+    } = &mut spec.workload
+    else {
+        panic!("fig12 is an online workload");
+    };
+    *sessions = 3;
+    for group in groups.iter_mut() {
+        group.requests = 4;
+    }
+    spec.validate().unwrap();
+    let run = |threads: usize| {
+        run_spec(
+            &spec,
+            &RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let one = run(1);
+    let four = run(4);
+    assert_eq!(write_jsonl(&one, false), write_jsonl(&four, false));
+    for section in &one.sections {
+        let heading = section.heading.as_deref().unwrap_or_default();
+        assert!(heading.contains("3 concurrent sessions"), "{heading}");
+    }
 }
 
 proptest! {
