@@ -11,9 +11,16 @@
 //! (min-excess paths over dense junction trees) is impractical to reproduce,
 //! and here `k = |C|+1 ≤ 8`, so this crate instead offers (see DESIGN.md §5):
 //!
-//! * [`exact_stroll`] — branch-and-bound enumeration, exact for small `k`
-//!   ([`exact_all_targets`] amortizes one sorted-row workspace over every
-//!   target of a source — the hot path of SOFDA's Procedure 3),
+//! * [`exact_stroll`] — branch-and-bound enumeration, exact for small `k`.
+//!   [`exact_all_targets`] answers every target of a source at once, the
+//!   hot path of SOFDA's Procedure 3. At `k = 4` it runs one O(n²)
+//!   relaxation per source, and at `k = 5` one per first interior node
+//!   (O(n³)), instead of one search per target. Other `k` share one
+//!   sorted-row workspace across the per-target searches. Every path
+//!   returns the exhaustive search's first `f64` minimum in nearest-first
+//!   order, ties included. The searches prune only when a lower bound
+//!   clears the incumbent by a factor `1 + 64ε`, so rounding cannot cut
+//!   the optimum,
 //! * [`color_coding_stroll`] — randomized color-coding DP, near-exact with
 //!   high probability, solving **all targets per source at once**,
 //! * [`greedy_stroll`] — deterministic cheapest-insertion + local search.
@@ -130,8 +137,8 @@ impl StrollSolver {
                 }
                 res
             }
-            // One shared workspace (sorted candidate rows + DFS buffers)
-            // serves every target; bit-identical to per-target solves.
+            // One relaxation per source at k = 4 and 5, one shared DFS
+            // workspace otherwise; bit-identical to per-target solves.
             StrollSolver::Exact => exact_all_targets(metric, source, k),
             StrollSolver::Greedy => (0..n)
                 .map(|t| {

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use sof::core::{solve_sofda, Network, Request, ServiceChain, SofInstance, SofdaConfig};
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
-use sof::kstroll::{exact_stroll, greedy_stroll, DenseMetric, LazyMetric, Metric};
+use sof::kstroll::{
+    exact_all_targets, exact_stroll, greedy_stroll, DenseMetric, LazyMetric, Metric,
+};
 
 fn random_instance(
     seed: u64,
@@ -72,7 +74,10 @@ proptest! {
 
     /// A `LazyMetric` answers bit-identically to the `DenseMetric` built
     /// from the same oracle — including through solver calls — even with a
-    /// row cap small enough to force constant eviction and rebuild.
+    /// row cap small enough to force constant eviction and rebuild. The
+    /// all-targets relaxation (k = 4 and 5) runs on borrowed rows for the
+    /// dense and pinned metrics and on pointwise `cost` reads for the
+    /// capped one, whose `row()` is `None`.
     #[test]
     fn lazy_metric_bit_identical_to_dense(seed in 0u64..5000, cap in 1usize..6, k in 2usize..6) {
         let mut rng = Rng64::seed_from(seed);
@@ -82,7 +87,16 @@ proptest! {
             .map(|v| sof::graph::ShortestPaths::from_source(&g, NodeId::new(v)))
             .collect();
         let dense = DenseMetric::from_fn(n, |i, j| trees[i].dist(NodeId::new(j)));
+        let pinned_trees = trees.clone();
+        let pinned = LazyMetric::from_fn(n, move |i, j| pinned_trees[i].dist(NodeId::new(j)));
         let lazy = LazyMetric::with_row_cap(n, cap, move |i, j| trees[i].dist(NodeId::new(j)));
+        prop_assert!(lazy.row(0).is_none() && pinned.row(0).is_some());
+        let source = seed as usize % n;
+        for relaxed_k in [4, 5] {
+            let want = exact_all_targets(&dense, source, relaxed_k);
+            prop_assert_eq!(&want, &exact_all_targets(&lazy, source, relaxed_k));
+            prop_assert_eq!(&want, &exact_all_targets(&pinned, source, relaxed_k));
+        }
         // Probe in a scattered order so rows churn through the tiny cache.
         for step in 0..3 * n {
             let i = (step * 7 + seed as usize) % n;
